@@ -21,7 +21,7 @@
 
 use crate::format::PAGE_SIZE;
 use phstore::vfs::VfsFile;
-use phstore::{fnv1a, Corruption, StoreError};
+use phstore::{checksum, Corruption, StoreError};
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -176,7 +176,7 @@ struct LruState {
 pub struct LruCache {
     file: Mutex<Box<dyn VfsFile>>,
     data_pages: u32,
-    /// Per-data-page FNV-1a sums (index 0 = page 1), verified at open
+    /// Per-data-page checksums (index 0 = page 1), verified at open
     /// against the table CRC.
     sums: Box<[u64]>,
     /// Resident-page budget. At least one entry is always kept, so a
@@ -247,7 +247,7 @@ impl PageCache for LruCache {
         }
         for i in 0..count {
             let s = &buf[i as usize * PAGE_SIZE..][..PAGE_SIZE];
-            if fnv1a(s) != self.sums[(first + i) as usize - 1] {
+            if checksum(s) != self.sums[(first + i) as usize - 1] {
                 return Err(Corruption::new("page checksum mismatch")
                     .at_page((first + i) as u64)
                     .into());
@@ -313,7 +313,7 @@ mod tests {
         f.write_all_at(&page_of(0), 0).unwrap();
         for i in 0..4u8 {
             let p = page_of(i + 1);
-            sums.push(fnv1a(&p));
+            sums.push(checksum(&p));
             f.write_all_at(&p, (i as u64 + 1) * PAGE_SIZE as u64)
                 .unwrap();
         }

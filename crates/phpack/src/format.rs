@@ -1,13 +1,16 @@
-//! Byte-exact definition of the packed artifact format (`PHPACK01`).
+//! Byte-exact definition of the packed artifact format (`PHPACK02`).
 //!
 //! A packed file is a sequence of [`PAGE_SIZE`] pages:
 //!
 //! ```text
 //! page 0              superblock (shared phstore codec, PACK_MAGIC)
 //! pages 1 ..= D       data pages: node records in descent order
-//! pages D+1 ..        checksum table: one FNV-1a u64 LE per data page,
-//!                     zero-padded to whole pages
+//! pages D+1 ..        checksum table: one phstore::checksum u64 LE per
+//!                     data page, zero-padded to whole pages
 //! ```
+//!
+//! `PHPACK01` artifacts carried the same layout with FNV-1a sums; they
+//! are refused by the superblock's magic check.
 //!
 //! The superblock metadata blob ([`Meta`]) is a fixed 42-byte record;
 //! its integrity is covered by the superblock checksum. Each data
@@ -108,7 +111,8 @@ pub struct Meta {
     pub data_bytes: u64,
     /// Root record, absent iff `len == 0` (encoded as page 0).
     pub root: Option<PackedRef>,
-    /// FNV-1a over the *whole* checksum-table region, padding included.
+    /// [`phstore::checksum`] over the *whole* checksum-table region,
+    /// padding included.
     pub table_crc: u64,
 }
 

@@ -24,7 +24,7 @@ use crate::format::{Meta, PackedRef, PACK_MAGIC, PAGE_SIZE};
 use crate::view::{NodeView, PSlot};
 use phbits::{hc, num};
 use phstore::vfs::{StdVfs, Vfs};
-use phstore::{fnv1a, superblock, Corruption, StoreError, ValueCodec};
+use phstore::{checksum, superblock, Corruption, StoreError, ValueCodec};
 use phtree::raw::{build_node, RawNode};
 use phtree::{Distance, IntEuclidean, PhTree};
 use std::cmp::Reverse;
@@ -93,7 +93,7 @@ impl<V, const K: usize> PackedTree<V, K> {
 
         let mut table = vec![0u8; (table_pages as usize) * PAGE_SIZE];
         file.read_exact_at(&mut table, (1 + d) * PAGE_SIZE as u64)?;
-        if fnv1a(&table) != meta.table_crc {
+        if checksum(&table) != meta.table_crc {
             return Err(Corruption::new("checksum table corrupt")
                 .at_page(1 + d)
                 .into());
@@ -109,7 +109,7 @@ impl<V, const K: usize> PackedTree<V, K> {
                     file.read_exact_at(&mut data, PAGE_SIZE as u64)?;
                 }
                 for (i, chunk) in data.chunks(PAGE_SIZE).enumerate() {
-                    if fnv1a(chunk) != sums[i] {
+                    if checksum(chunk) != sums[i] {
                         return Err(Corruption::new("page checksum mismatch")
                             .at_page(1 + i as u64)
                             .into());

@@ -5,7 +5,7 @@
 //! hot shards online, and (durably) journals per shard; `phmetrics`
 //! instruments all of it. This crate puts a network edge on top:
 //!
-//! * [`proto`] — a length-prefixed, FNV-1a-checksummed binary protocol
+//! * [`proto`] — a length-prefixed, checksummed binary protocol
 //!   (the same checksum discipline as the phstore WAL) carrying the
 //!   full op surface: insert, get, remove, window query, kNN,
 //!   bulk-ingest, stats, ping. Requests carry ids, so one connection

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! len   u32 LE   body length in bytes (0 < len <= MAX_FRAME)
-//! crc   u64 LE   FNV-1a of the body (same checksum discipline as the
+//! crc   u64 LE   phstore::checksum of the body (the checksum of the
 //!                phstore WAL frames)
 //! body  len bytes
 //! ```
@@ -21,7 +21,7 @@
 //! oversized, bit-flipped and garbage frames must never panic the
 //! peer; the server closes (only) the offending connection.
 
-use phstore::fnv1a;
+use phstore::checksum;
 use std::io::{self, Read, Write};
 
 /// Hard bound on a frame body. Larger `len` prefixes are rejected with
@@ -384,7 +384,7 @@ pub fn frame(body: &[u8]) -> Vec<u8> {
     debug_assert!(!body.is_empty() && body.len() <= MAX_FRAME);
     let mut out = Vec::with_capacity(HEADER_LEN + body.len());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a(body).to_le_bytes());
+    out.extend_from_slice(&checksum(body).to_le_bytes());
     out.extend_from_slice(body);
     out
 }
@@ -614,7 +614,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtoError> {
             ProtoError::Io(e)
         });
     }
-    let got = fnv1a(&body);
+    let got = checksum(&body);
     if got != crc {
         return Err(ProtoError::BadCrc { expect: crc, got });
     }

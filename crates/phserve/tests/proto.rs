@@ -95,8 +95,9 @@ proptest! {
     }
 
     /// A single flipped bit in the checksum or body is always detected:
-    /// FNV-1a chains a bijection per byte, so any one-byte change in the
-    /// body changes the hash, and a crc-field change breaks the match.
+    /// `phstore::checksum` chains a bijection per word, so any one-word
+    /// change in the body changes the sum, and a crc-field change breaks
+    /// the match.
     #[test]
     fn bit_flips_are_detected(req in request(), bit in 0usize..1 << 16) {
         let framed = frame(&encode_request(9, &req));

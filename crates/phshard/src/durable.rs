@@ -9,10 +9,10 @@
 //! (a [`ShardMap`] trie), the routing epoch, and — while a split is in
 //! flight — an in-progress migration record.
 //!
-//! ## Manifest v2 (`PHSHARD2`)
+//! ## Manifest v2 layout (`PHSHARD3`)
 //!
 //! ```text
-//! magic      "PHSHARD2"                8 bytes
+//! magic      "PHSHARD3"                8 bytes
 //! k          dimension count           u32 LE
 //! gen        manifest write counter    u64 LE
 //! epoch      routing epoch             u64 LE
@@ -20,8 +20,12 @@
 //! map        length-prefixed ShardMap  u32 LE + preorder bytes
 //! migration  0, or 1 + record          u8 [+ src u32, bits u32,
 //!                                          n u32, children u32×n]
-//! crc        FNV-1a of all above       u64 LE
+//! crc        checksum of all above     u64 LE
 //! ```
+//!
+//! The crc is [`phstore::checksum`]. `PHSHARD2` manifests carried the
+//! same layout under FNV-1a; they are refused with the magic-mismatch
+//! error, never read as corrupt.
 //!
 //! Every manifest write is atomic: staging file, fsync, rename over
 //! `phshard.meta`, directory fsync — a crash can only ever expose the
@@ -71,7 +75,9 @@ use crate::swap::Swap;
 use phmetrics::Registry;
 use phstore::durable::shard_dir;
 use phstore::vfs::{StdVfs, Vfs};
-use phstore::{fnv1a, Corruption, Durable, DurableConfig, RecoveryStats, StoreError, ValueCodec};
+use phstore::{
+    checksum, Corruption, Durable, DurableConfig, RecoveryStats, StoreError, ValueCodec,
+};
 use phtree::{Op, PhTree};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -81,7 +87,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// directory.
 pub const MANIFEST_FILE: &str = "phshard.meta";
 const MAGIC_V1: &[u8; 8] = b"PHSHARD1";
-const MAGIC_V2: &[u8; 8] = b"PHSHARD2";
+const MAGIC: &[u8; 8] = b"PHSHARD3";
 
 /// Default bound on a migrating shard's write backlog before further
 /// writes shed with [`ShardError::Overloaded`].
@@ -109,7 +115,7 @@ struct Manifest<const K: usize> {
 impl<const K: usize> Manifest<K> {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(MAGIC_V2);
+        out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(K as u32).to_le_bytes());
         out.extend_from_slice(&self.gen.to_le_bytes());
         out.extend_from_slice(&self.map.epoch().to_le_bytes());
@@ -130,7 +136,7 @@ impl<const K: usize> Manifest<K> {
                 }
             }
         }
-        let crc = fnv1a(&out);
+        let crc = checksum(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         out
     }
@@ -149,7 +155,7 @@ impl<const K: usize> Manifest<K> {
                 migration: None,
             });
         }
-        if bytes.len() < 8 || &bytes[..8] != MAGIC_V2 {
+        if bytes.len() < 8 || &bytes[..8] != MAGIC {
             return Err(bad("sharded manifest magic mismatch"));
         }
         if bytes.len() < 8 + 8 {
@@ -157,7 +163,7 @@ impl<const K: usize> Manifest<K> {
         }
         let (body, crc_bytes) = bytes.split_at(bytes.len() - 8);
         let crc = u64::from_le_bytes(crc_bytes.try_into().unwrap());
-        if fnv1a(body) != crc {
+        if checksum(body) != crc {
             return Err(bad("sharded manifest checksum mismatch"));
         }
         let mut pos = 8usize;
@@ -703,11 +709,15 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
             }
         }
         // Sustained write pressure: freeze the cut under every live
-        // cell's state lock (slot order — same order as bulk_load's
-        // multi-acquisition, so no deadlock).
+        // cell's state lock, in ascending slot order like bulk_load's
+        // multi-acquisition. `live_slots()` is trie order, which stops
+        // being ascending once a split appends child slots, so it is
+        // sorted first; locking in trie order deadlocks against a
+        // bulk_load spanning the reordered slots.
         'retry: loop {
             let inner = self.load_state();
-            let live = inner.map.live_slots();
+            let mut live = inner.map.live_slots();
+            live.sort_unstable();
             let mut guards = Vec::with_capacity(live.len());
             for &s in &live {
                 let cell = inner.cells[s].as_ref().expect("live slot without a cell");
@@ -1170,5 +1180,72 @@ impl<V: ValueCodec + Clone + Send + Sync, const K: usize> DurableSharded<V, K> {
         );
         cell.state.lock().backlog = None;
         self.reb_metrics.migration_inflight.add(-1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use phstore::vfs::MemVfs;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    /// The locked fallback of `snapshot()` and `bulk_load` both hold
+    /// several cell locks at once, so they must take them in one
+    /// order. After a split, `live_slots()` is trie order (`[2, 3, 1]`
+    /// here), not ascending. A write bracket held open for the whole
+    /// race starves the optimistic loop the way sustained writes do,
+    /// so every snapshot takes the locked path while bulk_loads
+    /// spanning slots 1..=3 run against it. The watchdog turns a
+    /// deadlock into a failure instead of a hang.
+    #[test]
+    fn locked_snapshot_and_bulk_load_share_one_lock_order() {
+        const RACE: Duration = Duration::from_secs(2);
+        const WATCHDOG: Duration = Duration::from_secs(30);
+        let cfg = DurableConfig {
+            checkpoint_bytes: u64::MAX,
+            sync_writes: false,
+            retry: None,
+        };
+        let store: Arc<DurableSharded<u64, 2>> = Arc::new(
+            DurableSharded::open_with(Arc::new(MemVfs::new()), Path::new("/order"), 2, cfg)
+                .unwrap(),
+        );
+        let batch: Vec<([u64; 2], u64)> =
+            (0..16u64).map(|i| ([i << 60, (i * 7) << 60], i)).collect();
+        store.bulk_load(batch.clone()).unwrap();
+        store.split_shard(0, 1).unwrap();
+        assert_eq!(store.load_state().map.live_slots(), [2, 3, 1]);
+
+        let (done, finished) = mpsc::channel();
+        store.clock.bracket(|| {
+            let racers: Vec<_> = [true, false]
+                .into_iter()
+                .map(|snapshots| {
+                    let store = Arc::clone(&store);
+                    let batch = batch.clone();
+                    let done = done.clone();
+                    std::thread::spawn(move || {
+                        let t = Instant::now();
+                        while t.elapsed() < RACE {
+                            if snapshots {
+                                assert_eq!(store.snapshot().len(), 16);
+                            } else {
+                                store.bulk_load(batch.clone()).unwrap();
+                            }
+                        }
+                        let _ = done.send(());
+                    })
+                })
+                .collect();
+            for _ in &racers {
+                finished
+                    .recv_timeout(WATCHDOG)
+                    .expect("locked snapshot() and bulk_load() deadlocked");
+            }
+            for r in racers {
+                r.join().expect("racer panicked");
+            }
+        });
     }
 }

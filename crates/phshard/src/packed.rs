@@ -34,7 +34,7 @@ use std::path::Path;
 pub const PACKED_MANIFEST: &str = "packed.meta";
 
 /// Superblock magic of the packed-checkpoint manifest.
-pub const PACKED_SHARDS_MAGIC: &[u8; 8] = b"PHPACKS1";
+pub const PACKED_SHARDS_MAGIC: &[u8; 8] = b"PHPACKS2";
 
 const MANIFEST_VERSION: u16 = 1;
 

@@ -403,7 +403,9 @@ impl<V, const K: usize> ShardedTree<V, K> {
             }
         }
         // Sustained write pressure starved the optimistic loop: freeze
-        // the cut by holding every live cell's writer lock (slot order;
+        // the cut by holding every live cell's writer lock (trie order,
+        // which is not ascending after a split; safe because every
+        // other writer-lock holder holds one lock at a time;
         // publications happen under these locks). A split mid-install
         // shows up as a retired cell — re-route and re-lock.
         'retry: loop {

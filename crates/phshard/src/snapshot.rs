@@ -25,8 +25,9 @@
 //!
 //! Under sustained writes the optimistic loop could starve, so after a
 //! bounded number of attempts the slow path locks every live cell's
-//! writer lock in slot order (publications happen under the cell
-//! writer lock, so holding all of them freezes the cut), collects, and
+//! writer lock (publications happen under the cell writer lock, so
+//! holding all of them freezes the cut; each engine documents its lock
+//! order at the call), collects, and
 //! releases. Readers therefore never block writers; a snapshot under
 //! heavy write pressure briefly blocks writers instead — the
 //! deliberate trade.

@@ -429,7 +429,7 @@ fn legacy_manifest_reads_and_upgrades_on_split() {
     store.split_shard(0, 1).unwrap();
     drop(store);
     let manifest = mem.read_file(Path::new("/db/phshard.meta")).unwrap();
-    assert_eq!(&manifest[..8], b"PHSHARD2");
+    assert_eq!(&manifest[..8], b"PHSHARD3");
     let store =
         DurableSharded::<u32, 2>::open_with(Arc::new(mem), Path::new("/db"), 2, config()).unwrap();
     assert!(store.epoch() > 0);

@@ -5,7 +5,7 @@
 //! starts on a fresh page, and a record larger than one page spills
 //! into chained *overflow* pages — the paper's "split efficiently to
 //! fit into disk-pages". Every record is prefixed with its length and
-//! an FNV-1a checksum that is verified on read.
+//! a [`crate::checksum`] that is verified on read.
 //!
 //! Page layout (data pages): records grow upward from the page start,
 //! the slot directory grows downward from the page end:
@@ -162,7 +162,7 @@ impl<'p> RecordWriter<'p> {
         self.n_slots += 1;
 
         // Record header + payload head.
-        let sum = crate::fnv1a(payload);
+        let sum = crate::checksum(payload);
         self.page[off..off + 4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
         self.page[off + 4..off + 12].copy_from_slice(&sum.to_le_bytes());
         self.page[off + 12..off + 20].copy_from_slice(&overflow_first.to_le_bytes());
@@ -215,7 +215,7 @@ pub fn read_record(pager: &mut Pager, id: RecordId) -> Result<Vec<u8>, StoreErro
         payload.extend_from_slice(&buf[8..8 + want]);
         overflow = next;
     }
-    if crate::fnv1a(&payload) != sum {
+    if crate::checksum(&payload) != sum {
         return Err(Corruption::new("record checksum mismatch")
             .at_record(id)
             .into());

@@ -1,8 +1,8 @@
 //! Checked superblock codec shared by every paged file format in the
 //! workspace.
 //!
-//! Both the record store's [`crate::pager::Pager`] (`PHSTORE1`) and the
-//! packed read-only tree format (`PHPACK01`, crate `phpack`) start with
+//! Both the record store's [`crate::pager::Pager`] (`PHSTORE2`) and the
+//! packed read-only tree format (`PHPACK02`, crate `phpack`) start with
 //! the same page-0 shape; this module is the single implementation of
 //! its encoding, parsing and integrity checks so the two formats cannot
 //! drift apart on magic/CRC handling:
@@ -14,9 +14,12 @@
 //! 16      4     meta_len, u32 LE
 //! 20      m     meta (format-specific blob, m = meta_len <= MAX_META)
 //! 20+m    ...   zero padding
-//! 4088    8     FNV-1a over bytes 0..4088, u64 LE
+//! 4088    8     crate::checksum over bytes 0..4088, u64 LE
 //! ```
 //!
+//! Decode checks the magic before the checksum, so a file of an older
+//! version of a format (such as the FNV-1a-era `PHSTORE1`, `PHPACK01`
+//! and `PHPACKS1`) is refused as `bad magic`, not reported as corrupt.
 //! Decode rejects structurally invalid pages with a typed
 //! [`Corruption`] anchored at page 0 — callers get "where and what"
 //! without re-deriving offsets.
@@ -28,10 +31,10 @@ use crate::error::{Corruption, StoreError};
 pub const PAGE_SIZE: usize = 4096;
 
 /// Magic of the record store's paged files.
-pub const STORE_MAGIC: &[u8; 8] = b"PHSTORE1";
+pub const STORE_MAGIC: &[u8; 8] = b"PHSTORE2";
 
 /// Magic of packed read-only tree artifacts (crate `phpack`).
-pub const PACK_MAGIC: &[u8; 8] = b"PHPACK01";
+pub const PACK_MAGIC: &[u8; 8] = b"PHPACK02";
 
 /// Maximum user metadata bytes storable in a superblock
 /// (page minus magic, page count, meta length and checksum).
@@ -50,7 +53,7 @@ pub fn encode(magic: &[u8; 8], n_pages: u64, meta: &[u8]) -> Vec<u8> {
     page[8..16].copy_from_slice(&n_pages.to_le_bytes());
     page[16..20].copy_from_slice(&(meta.len() as u32).to_le_bytes());
     page[20..20 + meta.len()].copy_from_slice(meta);
-    let sum = crate::fnv1a(&page[..PAGE_SIZE - 8]);
+    let sum = crate::checksum(&page[..PAGE_SIZE - 8]);
     page[PAGE_SIZE - 8..].copy_from_slice(&sum.to_le_bytes());
     page
 }
@@ -71,7 +74,7 @@ pub fn decode(magic: &[u8; 8], page: &[u8]) -> Result<(u64, Vec<u8>), StoreError
         return Err(Corruption::new("bad magic").at_page(0).into());
     }
     let stored_sum = u64::from_le_bytes(page[PAGE_SIZE - 8..].try_into().unwrap());
-    if stored_sum != crate::fnv1a(&page[..PAGE_SIZE - 8]) {
+    if stored_sum != crate::checksum(&page[..PAGE_SIZE - 8]) {
         return Err(Corruption::new("header checksum mismatch")
             .at_page(0)
             .into());

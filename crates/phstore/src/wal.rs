@@ -13,15 +13,21 @@
 //! Header (24 bytes):
 //!
 //! ```text
-//! [magic b"PHWAL001" (8)][generation u64 LE (8)][fnv1a(magic‖gen) (8)]
+//! [magic b"PHWAL002" (8)][generation u64 LE (8)][checksum(magic‖gen) (8)]
 //! ```
 //!
 //! then zero or more frames:
 //!
 //! ```text
-//! [len u32 LE][fnv1a(payload) u64 LE][payload: len bytes]
+//! [len u32 LE][checksum(payload) u64 LE][payload: len bytes]
 //! payload = [op u8: 1=Insert 2=Remove][key: K × u64 LE][value: ValueCodec]
 //! ```
+//!
+//! `checksum` is [`crate::checksum`]. `PHWAL001` logs carried FNV-1a
+//! sums; their header is not this format's, so [`recover`] reports no
+//! generation and replays none of their frames. A store that wrote one
+//! also wrote a `PHSTORE1` snapshot, which [`crate::Durable`] refuses
+//! before it reads the log.
 //!
 //! The `generation` ties the log to the snapshot it extends: a log
 //! whose generation is older than the snapshot's is stale (its ops are
@@ -44,7 +50,7 @@ use phtree::Op;
 use std::path::Path;
 
 /// WAL file magic (8 bytes, versioned).
-pub const WAL_MAGIC: &[u8; 8] = b"PHWAL001";
+pub const WAL_MAGIC: &[u8; 8] = b"PHWAL002";
 /// Header size in bytes: magic + generation + checksum.
 pub const WAL_HEADER: u64 = 24;
 const FRAME_HEADER: usize = 4 + 8;
@@ -59,7 +65,7 @@ fn header_bytes(generation: u64) -> [u8; WAL_HEADER as usize] {
     let mut h = [0u8; WAL_HEADER as usize];
     h[..8].copy_from_slice(WAL_MAGIC);
     h[8..16].copy_from_slice(&generation.to_le_bytes());
-    let sum = crate::fnv1a(&h[..16]);
+    let sum = crate::checksum(&h[..16]);
     h[16..24].copy_from_slice(&sum.to_le_bytes());
     h
 }
@@ -128,7 +134,7 @@ impl WalWriter {
         let _w = phtrace::span(phtrace::Phase::Wal);
         let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crate::fnv1a(payload).to_le_bytes());
+        frame.extend_from_slice(&crate::checksum(payload).to_le_bytes());
         frame.extend_from_slice(payload);
         self.file.write_all_at(&frame, self.offset)?;
         self.metrics.wal_append_frames.inc();
@@ -244,7 +250,7 @@ pub fn recover<V: ValueCodec, const K: usize>(
     let mut header = [0u8; WAL_HEADER as usize];
     file.read_exact_at(&mut header, 0)?;
     if &header[..8] != WAL_MAGIC
-        || u64::from_le_bytes(header[16..24].try_into().unwrap()) != crate::fnv1a(&header[..16])
+        || u64::from_le_bytes(header[16..24].try_into().unwrap()) != crate::checksum(&header[..16])
     {
         return Ok(rec); // damaged header — stale log
     }
@@ -265,7 +271,7 @@ pub fn recover<V: ValueCodec, const K: usize>(
         }
         let mut payload = vec![0u8; len as usize];
         file.read_exact_at(&mut payload, pos + FRAME_HEADER as u64)?;
-        if crate::fnv1a(&payload) != sum {
+        if crate::checksum(&payload) != sum {
             break; // bit rot or torn overwrite
         }
         match decode_payload(&payload) {
